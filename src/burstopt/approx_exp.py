@@ -54,7 +54,13 @@ def refit_beta(seq: DelaySequence, levels: LevelSequence | Sequence[int], alpha:
 
 def beta_candidates(mu: float, alpha: float, k: int, epsilon: float) -> list[float]:
     """Decreasing candidate list 1/mu, 1/(mu(1+eps)), ... down to 1/(alpha**k mu)."""
-    limit = 1 / (alpha ** k * mu)
+    try:
+        scale = alpha ** k * mu
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise DomainError(f"alpha**k overflows for alpha={alpha!r}, k={k}; lower k or alpha")
+    limit = 1 / scale
     ratio = 1 + epsilon
     out = []
     beta = 1 / mu

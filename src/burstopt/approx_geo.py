@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError
@@ -108,12 +109,15 @@ def _next_beta_coordinate(v: float, epsilon: float) -> float:
         v += step
 
 
-def beta_schedule(mean: float, n: int, epsilon: float) -> list[float]:
+@lru_cache(maxsize=128)
+def beta_schedule(mean: float, n: int, epsilon: float) -> tuple[float, ...]:
     """Base rates geo_alpha tests: eta = mean / (mean + 1) first, then each
     next candidate as far above the last as the (1 + eps) argument in the
     module docstring allows, while the candidate is <= mean / (mean + 1/n).
 
-    The schedule depends only on the mean, n and eps, not on alpha.
+    The schedule depends only on the mean, n and eps, not on alpha, so the
+    result is cached (an immutable tuple, shared by every caller) and the
+    alpha scan of approx_geo builds it once.
     """
     stop = mean / (mean + 1 / n)
     betas = [mean / (mean + 1)]
@@ -122,7 +126,7 @@ def beta_schedule(mean: float, n: int, epsilon: float) -> list[float]:
         v = _next_beta_coordinate(v, epsilon)
         beta = -math.expm1(-v)
         if beta > stop:
-            return betas
+            return tuple(betas)
         betas.append(beta)
 
 
@@ -165,6 +169,7 @@ def approx_geo(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> Solu
     _validate_geo_inputs(seq, gamma, k, epsilon)
     best = geo_alpha(seq, 0.0, gamma, k, epsilon)
     calls = best.viterbi_calls
+    beta_candidates = best.diagnostics["beta_candidates"]
     alpha_candidates = 1
     mu = seq.stats.mean
     if mu > 0 and k > 0:
@@ -174,8 +179,9 @@ def approx_geo(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> Solu
         for alpha in schedule:
             sol = geo_alpha(seq, alpha, gamma, k, epsilon)
             calls += sol.viterbi_calls
+            beta_candidates += sol.diagnostics["beta_candidates"]
             alpha_candidates += 1
             if sol.score < best.score or (sol.score == best.score and sol.alpha < best.alpha):
                 best = sol
     return replace(best, viterbi_calls=calls,
-                   diagnostics={"alpha_candidates": alpha_candidates, "beta_candidates": best.diagnostics.get("beta_candidates")})
+                   diagnostics={"alpha_candidates": alpha_candidates, "beta_candidates": beta_candidates})

@@ -251,8 +251,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.protocol in ("burst-length", "fig3"):
         lengths = _parse_int_list(args.lengths) if args.lengths else DEFAULT_BURST_LENGTHS
         rows = run_burst_length_experiment(burst_lengths=lengths, trials=args.trials,
@@ -265,6 +263,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                                               seed=args.seed, alpha=args.alpha,
                                               gamma=args.gamma, k=args.k, epsilon=args.epsilon)
         x_name = "sequence_length"
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "trials.tsv", "w") as fh:
         write_trials_tsv(rows, fh, x_name)
     with open(outdir / "summary.tsv", "w") as fh:

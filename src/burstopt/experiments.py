@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .approx_exp import exp_alpha
+from .errors import DomainError
 from .model import EXP, BurstParams
 from .synth import PlantSpec, generate, hamming
 from .viterbi import viterbi
@@ -37,6 +38,11 @@ class TrialResult:
     method: str
     n: int
     hamming: int
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
 
 
 def _run_trial(n: int, burst_len: int, x: int, trial: int, base_seed: int,
@@ -63,10 +69,12 @@ def run_burst_length_experiment(burst_lengths: Sequence[int] = DEFAULT_BURST_LEN
                                 base_rate: float = DEFAULT_BASE_RATE,
                                 burst_rate: float = DEFAULT_BURST_RATE) -> list[TrialResult]:
     """Hamming distance vs planted-burst length at fixed sequence length."""
-    rows = []
+    _check_trials(trials)
     for length in burst_lengths:
         if length > n:
-            raise ValueError(f"burst length {length} exceeds n = {n}")
+            raise DomainError(f"burst length {length} exceeds n = {n}")
+    rows = []
+    for length in burst_lengths:
         for trial in range(trials):
             rows.extend(_run_trial(n, length, length, trial, seed, alpha, gamma, k,
                                    epsilon, base_rate, burst_rate))
@@ -80,6 +88,7 @@ def run_sequence_length_experiment(sequence_lengths: Sequence[int] = DEFAULT_SEQ
                                    base_rate: float = DEFAULT_BASE_RATE,
                                    burst_rate: float = DEFAULT_BURST_RATE) -> list[TrialResult]:
     """Hamming distance vs sequence length, with the burst one third of it."""
+    _check_trials(trials)
     rows = []
     for n in sequence_lengths:
         for trial in range(trials):

@@ -106,6 +106,12 @@ class LevelSequence:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise DomainError("k must be nonnegative")
+        levels = self.levels
+        if not levels or (set(map(type, levels)) == {int}
+                          and min(levels) >= 0 and max(levels) <= self.k):
+            # plain ints already in range: the loop below would keep them as they are
+            object.__setattr__(self, "levels", tuple(levels))
+            return
         normalized = []
         for lev in self.levels:
             if lev != int(lev) or not 0 <= lev <= self.k:
@@ -142,8 +148,9 @@ class BurstParams:
 
     The exponential family needs alpha >= 1 and beta > 0 (alpha = 1 collapses
     all levels to the same rate and is allowed so that parameter scans can
-    probe it).  The geometric family needs 0 <= alpha < 1 and 0 <= beta < 1,
-    which keeps every level rate beta * alpha**l inside [0, 1).
+    probe it), and its top rate beta * alpha**k must be a finite float.  The
+    geometric family needs 0 <= alpha < 1 and 0 <= beta < 1, which keeps
+    every level rate beta * alpha**l inside [0, 1).
     """
 
     family: str
@@ -168,6 +175,13 @@ class BurstParams:
                 raise DomainError(f"exp family needs alpha >= 1, got {self.alpha!r}")
             if self.beta <= 0:
                 raise DomainError(f"exp family needs beta > 0, got {self.beta!r}")
+            try:
+                top = self.beta * self.alpha ** self.k
+            except OverflowError:
+                top = _INF
+            if not math.isfinite(top):
+                raise DomainError(f"exp family needs a finite top rate beta * alpha**k, got "
+                                  f"beta={self.beta!r}, alpha={self.alpha!r}, k={self.k}")
         else:
             if not 0 <= self.alpha < 1:
                 raise DomainError(f"geo family needs 0 <= alpha < 1, got {self.alpha!r}")

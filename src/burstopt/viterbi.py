@@ -8,6 +8,14 @@ minimum over lower-or-equal levels that grows by gamma * log(n) per level of
 ascent.  Both are computable in one sweep each, giving O(n k) total with
 exactly n * (k + 1) cell updates.
 
+fill_table runs the forward pass as one sweep over two rolling score rows.
+The emission terms of all n * (k + 1) cells are computed up front with the
+same scalar math expressions as the scoring functions in model.  Each row
+takes its suffix minima into a reused buffer, then carries the prefix
+minimum inline with the cell updates, pricing the carried level against the
+current one as prev[carry] + (j - carry) * unit.  Memory is O(k) floats for
+the scores plus n * (k + 1) back-pointers, one byte each while k <= 255.
+
 Ties are broken toward the smaller predecessor level at each cell, and toward
 the smaller final level.  Among all optimal level sequences this returns the
 one that is lexicographically smallest when read from the last position
@@ -17,6 +25,7 @@ backwards, which a brute-force oracle can reproduce.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
@@ -27,122 +36,109 @@ _INF = math.inf
 
 @dataclass
 class DpTable:
-    """Filled trellis: prefix scores and predecessor levels.
+    """Result of the forward pass: the last score row and all predecessor levels.
 
-    scores[i][j] is the best score of a length-i prefix ending at level j
-    (row 0 is the implicit start at level 0).  back[i][j] is the predecessor
-    level chosen for that cell; row 0 holds -1.
+    final[j] is the best score of the whole sequence ending at level j.
+    back[i * (k + 1) + j] is the level chosen at position i - 1 for the best
+    length-(i + 1) prefix ending at level j (position -1 is the implicit start
+    at level 0).  back is a bytearray while k <= 255 and an int array above.
     """
 
-    scores: list[list[float]]
-    back: list[list[int]]
+    final: list[float]
+    back: bytearray | array
+    n: int
     k: int
     cell_updates: int
 
-    @property
-    def n(self) -> int:
-        return len(self.scores) - 1
 
-
-def _row_minima(prev: list[float], unit: float) -> tuple[list[float], list[int], list[float], list[int]]:
-    """Two-sided running minima over a finished row.
-
-    down_val[j] = min over x >= j of prev[x] (descending to j is free);
-    up_val[j] = min over x <= j of prev[x] + (j - x) * unit.  The up chain
-    carries only the argmin and prices it against j directly, so each
-    candidate value equals the canonical penalty expression.  Ties prefer the
-    smaller predecessor.
-    """
-    m = len(prev)
-    down_val = [0.0] * m
-    down_arg = [0] * m
-    down_val[m - 1] = prev[m - 1]
-    down_arg[m - 1] = m - 1
-    for j in range(m - 2, -1, -1):
-        if prev[j] <= down_val[j + 1]:
-            down_val[j] = prev[j]
-            down_arg[j] = j
-        else:
-            down_val[j] = down_val[j + 1]
-            down_arg[j] = down_arg[j + 1]
-    up_val = [0.0] * m
-    up_arg = [0] * m
-    up_val[0] = prev[0]
-    up_arg[0] = 0
-    for j in range(1, m):
-        carry = up_arg[j - 1]
-        carry_val = prev[carry] + (j - carry) * unit
-        if carry_val <= prev[j]:
-            up_val[j] = carry_val
-            up_arg[j] = carry
-        else:
-            up_val[j] = prev[j]
-            up_arg[j] = j
-    return down_val, down_arg, up_val, up_arg
+def _emissions(seq: DelaySequence, params: BurstParams, width: int) -> list[float]:
+    """Negative log-likelihood of every (position, level) cell, row-major."""
+    lam = [params.beta * params.alpha ** j for j in range(width)]
+    if params.family == EXP:
+        terms = [(v, math.log(v)) for v in lam]
+        return [s * v - log_v for s in seq.values for v, log_v in terms]
+    # geometric: rate 0 scores a zero delay 0 and any positive delay +inf
+    geo_terms = [(v, -math.log1p(-v), math.log(v) if v > 0 else -_INF) for v in lam]
+    return [base - s * log_v if v > 0.0 else (0.0 if s == 0.0 else _INF)
+            for s in seq.values for v, base, log_v in geo_terms]
 
 
 def fill_table(seq: DelaySequence, params: BurstParams) -> DpTable:
-    """Run the forward pass and return the full trellis."""
+    """Run the forward pass: final score row plus the flat back-pointers."""
     if params.family != EXP and not seq.is_integer_valued:
         raise DomainError("geometric family requires integer delays")
     n = seq.n
-    width = params.k + 1
+    k = params.k
+    width = k + 1
+    cells = n * width
     unit = params.gamma * math.log(n)
-    lam = [params.beta * params.alpha ** j for j in range(width)]
-    if params.family == EXP:
-        log_lam = [math.log(v) for v in lam]
-    else:
-        base_term = [-math.log1p(-v) for v in lam]
-        log_lam = [math.log(v) if v > 0 else -_INF for v in lam]
-
-    scores = [[_INF] * width for _ in range(n + 1)]
-    back = [[-1] * width for _ in range(n + 1)]
-    scores[0][0] = 0.0
-    cells = 0
-    prev = scores[0]
-    exp_family = params.family == EXP
-    for i in range(1, n + 1):
-        s = seq.values[i - 1]
-        down_val, down_arg, up_val, up_arg = _row_minima(prev, unit)
-        row = scores[i]
-        brow = back[i]
-        for j in range(width):
-            if up_val[j] <= down_val[j]:
-                base = up_val[j]
-                pred = up_arg[j]
+    steps = [d * unit for d in range(width)]  # cost of raising the level by d
+    emit = _emissions(seq, params, width)
+    back = bytearray(cells) if k <= 255 else array("i", [0]) * cells
+    prev = [_INF] * width
+    prev[0] = 0.0
+    cur = [0.0] * width
+    down_val = [0.0] * width
+    down_arg = [0] * width
+    descending = range(k - 1, -1, -1)
+    ascending = range(1, width)
+    off = 0
+    for _ in range(n):
+        # Suffix minima over prev (descending is free); ties keep the smaller level.
+        dv = prev[k]
+        da = k
+        down_val[k] = dv
+        down_arg[k] = k
+        for j in descending:
+            v = prev[j]
+            if v <= dv:
+                dv = v
+                da = j
+            down_val[j] = dv
+            down_arg[j] = da
+        # At level 0 the prefix minimum is prev[0], which never beats the
+        # suffix minimum, and on a tie the suffix argmin is 0 as well.
+        cur[0] = dv + emit[off]
+        back[off] = da
+        carry = 0
+        for j in ascending:
+            up = prev[carry] + steps[j - carry]
+            v = prev[j]
+            if not up <= v:
+                up = v
+                carry = j
+            d = down_val[j]
+            if up <= d:
+                cur[j] = up + emit[off + j]
+                back[off + j] = carry
             else:
-                base = down_val[j]
-                pred = down_arg[j]
-            if exp_family:
-                ll = s * lam[j] - log_lam[j]
-            elif lam[j] > 0.0:
-                ll = base_term[j] - s * log_lam[j]
-            else:
-                ll = 0.0 if s == 0.0 else _INF
-            row[j] = base + ll
-            brow[j] = pred
-            cells += 1
-        prev = row
-    return DpTable(scores=scores, back=back, k=params.k, cell_updates=cells)
+                cur[j] = d + emit[off + j]
+                back[off + j] = down_arg[j]
+        prev, cur = cur, prev
+        off += width
+    return DpTable(final=prev, back=back, n=n, k=k, cell_updates=cells)
 
 
 def backtrace(table: DpTable) -> LevelSequence:
-    """Recover the optimal level sequence from a filled trellis."""
-    n = table.n
-    last = table.scores[n]
+    """Recover the optimal level sequence from a filled table."""
+    final = table.final
     best_j = 0
-    best = last[0]
-    for j in range(1, len(last)):
-        if last[j] < best:
-            best = last[j]
+    best = final[0]
+    for j in range(1, len(final)):
+        if final[j] < best:
+            best = final[j]
             best_j = j
     if not best < _INF:
         raise InfeasibleError("every level sequence has infinite score")
-    levels = [0] * n
+    width = table.k + 1
+    back = table.back
+    levels = [0] * table.n
     j = best_j
-    for i in range(n, 0, -1):
-        levels[i - 1] = j
-        j = table.back[i][j]
+    off = len(back) - width
+    for i in range(table.n - 1, -1, -1):
+        levels[i] = j
+        j = back[off + j]
+        off -= width
     return LevelSequence(tuple(levels), table.k)
 
 
@@ -150,7 +146,7 @@ def viterbi(seq: DelaySequence, params: BurstParams) -> Solution:
     """Minimize the burst score over level sequences for fixed parameters."""
     table = fill_table(seq, params)
     levels = backtrace(table)
-    score = min(table.scores[table.n])
+    score = min(table.final)
     return Solution(
         levels=levels,
         alpha=params.alpha,

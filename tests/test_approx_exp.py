@@ -64,6 +64,12 @@ class TestBetaCandidates:
             t = len(b.beta_candidates(mu, alpha, k, eps))
             assert t <= math.ceil(k * math.log(alpha) / math.log(1 + eps)) + 1
 
+    def test_overflowing_alpha_power_rejected(self):
+        with pytest.raises(DomainError, match="overflow"):
+            b.beta_candidates(2.0, 2.0, 2000, 0.1)
+        with pytest.raises(DomainError, match="overflow"):
+            b.beta_candidates(2.0, 1e300, 2, 0.1)
+
     def test_alpha_one_or_k_zero_single_candidate(self):
         assert b.beta_candidates(2.0, 1.0, 4, 0.1) == [0.5]
         assert b.beta_candidates(2.0, 3.0, 0, 0.1) == [0.5]

@@ -100,6 +100,11 @@ class TestGeoAlpha:
                 for total in range(1, 8 * n + 1):
                     assert len(beta_schedule(total / n, n, epsilon)) <= cap, (n, total, epsilon)
 
+    def test_schedule_is_a_shared_immutable_tuple(self):
+        first = beta_schedule(1.5, 30, 0.2)
+        assert isinstance(first, tuple)
+        assert beta_schedule(1.5, 30, 0.2) is first
+
     def test_schedule_steps_are_maximal_epsilon_steps(self):
         # consecutive candidates meet (1+eps) log b' - eps g(b') <= log b,
         # the condition behind the (1 + eps) guarantee, with little to spare
@@ -170,6 +175,15 @@ class TestApproxGeo:
                 bound = (math.log(k) + math.log(1 + n * mu) - math.log(epsilon)
                          + math.log(math.log(1 + n * k))) / math.log(1 + epsilon) + 2
                 assert sol.diagnostics["alpha_candidates"] <= bound
+
+    def test_beta_candidates_count_every_alpha(self):
+        # one DP call per beta candidate of every alpha, not only the winner's
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            seq = random_positive_geo_seq(rng, max_n=20)
+            sol = b.approx_geo(seq, 1.0, 1, 0.3)
+            assert sol.diagnostics["alpha_candidates"] > 1
+            assert sol.diagnostics["beta_candidates"] == sol.viterbi_calls
 
     def test_k_zero_is_flat(self):
         seq = b.DelaySequence.from_values([2, 3, 1])

@@ -214,6 +214,13 @@ class TestRunCommand:
         assert cli.main(["run", "--input", str(tmp_path / "nope.txt"),
                          "--output-dir", str(tmp_path / "o")]) == cli.EXIT_DOMAIN
 
+    @pytest.mark.parametrize("mode", ["mean", "opt-beta", "opt-both", "fixed"])
+    def test_overflowing_top_rate_exits_domain(self, tmp_path, mode):
+        data = tmp_path / "d.txt"
+        write(data, "1 2 0.5 3 0.2\n")
+        assert cli.main(["run", "--input", str(data), "--output-dir", str(tmp_path / "o"),
+                         "--mode", mode, "--k", "2000", "--beta", "0.5"]) == cli.EXIT_DOMAIN
+
     def test_geo_defaults_alpha_below_one(self, tmp_path):
         data = tmp_path / "d.txt"
         write(data, "1 2 0 4\n")
@@ -250,6 +257,20 @@ class TestExperimentCommand:
         tlines = (outdir / "trials.tsv").read_text().splitlines()
         assert tlines[0].startswith("sequence_length\t")
         assert len(tlines) == 1 + 2 * 2 * 2
+
+    def test_burst_longer_than_n_exits_domain(self, tmp_path):
+        outdir = tmp_path / "out"
+        assert cli.main(["experiment", "burst-length", "--output-dir", str(outdir),
+                         "--lengths", "50,600", "--n", "500"]) == cli.EXIT_DOMAIN
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("protocol", ["burst-length", "sequence-length"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_domain(self, tmp_path, protocol, trials):
+        outdir = tmp_path / "out"
+        assert cli.main(["experiment", protocol, "--output-dir", str(outdir),
+                         "--trials", trials]) == cli.EXIT_DOMAIN
+        assert not outdir.exists()
 
     def test_bad_lengths_list(self, tmp_path):
         assert cli.main(["experiment", "burst-length", "--output-dir", str(tmp_path),

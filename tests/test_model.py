@@ -139,6 +139,18 @@ class TestLevelSequence:
         with pytest.raises(DomainError):
             b.LevelSequence((-1,), 2)
 
+    def test_normalizes_like_the_checked_loop(self):
+        # plain ints take the fast path; other integral values are converted
+        assert b.LevelSequence([0, 2, 1], 2).levels == (0, 2, 1)
+        assert b.LevelSequence((), 0).levels == ()
+        mixed = b.LevelSequence((True, 2.0, np.int64(1)), 2)
+        assert mixed.levels == (1, 2, 1)
+        assert set(map(type, mixed.levels)) == {int}
+        with pytest.raises(DomainError):
+            b.LevelSequence((0, 1.5), 2)
+        with pytest.raises(DomainError):
+            b.LevelSequence((np.int64(3),), 2)
+
     def test_rises_counts_implicit_start(self):
         assert b.LevelSequence((2, 1, 3), 3).rises() == 4
         assert b.LevelSequence((0, 0), 1).rises() == 0
@@ -157,6 +169,15 @@ class TestBurstParams:
             b.BurstParams(b.GEO, 1.0, 0.5, 1.0, 2)
         with pytest.raises(DomainError):
             b.BurstParams(b.GEO, 0.5, 1.0, 1.0, 2)
+
+    def test_exp_top_rate_must_be_finite(self):
+        # 2.0**2000 overflows; 1e300 * 1e10 rounds to inf
+        with pytest.raises(DomainError, match="top rate"):
+            b.BurstParams(b.EXP, 2.0, 0.5, 1.0, 2000)
+        with pytest.raises(DomainError, match="top rate"):
+            b.BurstParams(b.EXP, 1e10, 1e300, 1.0, 1)
+        b.BurstParams(b.EXP, 2.0, 0.5, 1.0, 1000)
+        b.BurstParams(b.GEO, 0.5, 0.5, 1.0, 2000)  # geometric rates only shrink
 
     def test_rate_level_zero_is_beta_even_for_alpha_zero(self):
         params = b.BurstParams(b.GEO, 0.0, 0.7, 1.0, 2)

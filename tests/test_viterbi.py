@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import burstopt as b
+import reference_dp
 from burstopt.errors import DomainError, InfeasibleError
-from burstopt.viterbi import _row_minima
+from reference_dp import _row_minima
 
 from conftest import random_exp_instance, random_geo_instance
 
@@ -92,7 +95,7 @@ def test_backtrace_reaches_the_tabled_minimum():
         seq, params = (random_exp_instance if trial % 2 else random_geo_instance)(
             rng, max_n=5, max_k=2)
         table = b.fill_table(seq, params)
-        final = table.scores[table.n]
+        final = table.final
         if not min(final) < math.inf:
             continue
         levels = b.backtrace(table)
@@ -143,3 +146,66 @@ def test_brute_force_guard():
     seq = b.DelaySequence.from_values([1.0] * 30)
     with pytest.raises(b.CapacityError):
         b.brute_force_viterbi(seq, b.BurstParams(b.EXP, 2.0, 1.0, 1.0, 2))
+
+
+def _same_as_reference(seq, params):
+    """The kernel and the loop-version reference agree bit for bit, or both find no finite score.
+
+    Every back-pointer must match too, so a changed tie-break shows even in
+    cells that no returned level sequence passes through.
+    """
+    table = b.fill_table(seq, params)
+    expected_table = reference_dp.fill_table(seq, params)
+    assert table.final == expected_table.scores[-1]
+    assert list(table.back) == [pred for row in expected_table.back[1:] for pred in row]
+    try:
+        expected = reference_dp.viterbi(seq, params)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            b.viterbi(seq, params)
+        return
+    sol = b.viterbi(seq, params)
+    assert sol.levels.levels == expected.levels.levels
+    assert sol.score == expected.score
+    assert sol.diagnostics == expected.diagnostics
+
+
+# gamma = 5e-324 makes every rise cost less than one rounding step of the
+# scores, so predecessor levels tie and each tie-break decides the result
+_gammas = st.one_of(st.just(5e-324), st.floats(0.01, 3.0))
+_delay_lists = st.integers(1, 60).flatmap(lambda n: st.lists(st.integers(0, 8), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays=_delay_lists, k=st.integers(0, 6),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       gamma=_gammas)
+def test_kernel_matches_reference_geo(delays, k, alpha, beta, gamma):
+    # beta = 0 or alpha = 0 puts rate 0 on some levels: cells, rows or the whole table go infinite
+    seq = b.DelaySequence.from_values(delays)
+    _same_as_reference(seq, b.BurstParams(b.GEO, alpha, beta, gamma, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays=st.integers(1, 60).flatmap(
+           lambda n: st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n)),
+       k=st.integers(0, 6),
+       alpha=st.one_of(st.just(1.0), st.floats(1.0, 6.0)),
+       beta=st.floats(0.01, 5.0),
+       gamma=_gammas)
+def test_kernel_matches_reference_exp(delays, k, alpha, beta, gamma):
+    seq = b.DelaySequence.from_values(delays)
+    _same_as_reference(seq, b.BurstParams(b.EXP, alpha, beta, gamma, k))
+
+
+def test_kernel_matches_reference_above_byte_back_pointers():
+    # k >= 256 stores predecessor levels in an int array instead of a bytearray
+    # the short delays want rate 100, level 463, so they climb to the top level 300
+    seq = b.DelaySequence.from_values([1.0] * 5 + [0.01] * 10 + [1.0] * 10)
+    params = b.BurstParams(b.EXP, 1.01, 1.0, 0.001, 300)
+    table = b.fill_table(seq, params)
+    assert not isinstance(table.back, bytearray)
+    assert max(table.back) > 255
+    _same_as_reference(seq, params)
+    assert max(b.viterbi(seq, params).levels) == 300
