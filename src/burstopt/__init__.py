@@ -8,9 +8,9 @@ geometric families, an exact exponential-family solver, a refit-based scan
 pruner, synthetic planted-burst benchmarks, and a command-line interface.
 """
 
-from .approx_exp import (PruneState, approx_exp, beta_candidates, exp_alpha,
-                         prune_scan, refit_beta, traversal_order)
-from .approx_geo import ScanSchedule, approx_geo, geo_alpha
+from .approx_exp import (approx_exp, beta_candidates, exp_alpha, prune_scan, refit_beta,
+                         traversal_order)
+from .approx_geo import approx_geo, geo_alpha
 from .errors import CapacityError, DomainError, InfeasibleError
 from .exact import BndBurstTable, reconstruct, solve_bndburst, solve_exp_alpha_exact
 from .experiments import (TrialResult, mean_hamming, run_burst_length_experiment,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BndBurstTable", "BurstParams", "CapacityError", "DelaySequence", "DomainError",
     "DpTable", "EXP", "GEO", "InfeasibleError", "LevelSequence", "PlantSpec",
-    "PruneState", "ScanSchedule", "SequenceStats", "Solution", "TrialResult",
+    "SequenceStats", "Solution", "TrialResult",
     "approx_exp", "approx_geo", "backtrace", "beta_candidates", "brute_force_viterbi",
     "exp_alpha", "fill_table", "generate", "geo_alpha", "grid_opt", "grid_search",
     "hamming", "mean_hamming", "neg_loglik_exp", "neg_loglik_geo", "overlap_fraction",

@@ -4,8 +4,10 @@ exp_alpha fixes alpha and scans base-rate candidates 1/mu, 1/(mu(1+eps)),
 ... down to 1/(alpha**k mu).  Because exponential log-likelihoods can be
 negative, the guarantee is multiplicative only after shifting scores by
 n * log g (g the geometric mean of the delays): the shifted best scanned
-score is within (1 + eps) of the shifted optimum.  approx_exp wraps a scan
-over alpha from max(s)/min(s) down to 1 around it.
+score is within (1 + eps) of the shifted optimum.  approx_exp runs exp_alpha
+at each alpha from max(s)/min(s) down to 1 and keeps the best (model.best_of
+breaks ties to the smaller alpha, as the beta scans break them to the
+smaller beta).
 
 prune_scan is an equivalent but cheaper exp_alpha: after testing a candidate
 beta, refitting beta to the returned levels gives a stationary value, and no
@@ -17,26 +19,15 @@ skip intervals long early on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+import operator
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
+from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .model import EXP, BurstParams, DelaySequence, LevelSequence, Solution
+from .model import (EXP, BurstParams, DelaySequence, LevelSequence, Solution, best_of,
+                    check_scan_args)
 from .viterbi import viterbi
-
-
-def _validate_exp_inputs(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> None:
-    if seq.stats.minimum <= 0:
-        raise DomainError(
-            "exponential-family optimization requires strictly positive delays; "
-            "shift the delays by a small amount to remove zeros"
-        )
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k!r}")
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
 
 
 def refit_beta(seq: DelaySequence, levels: LevelSequence | Sequence[int], alpha: float) -> float:
@@ -52,105 +43,64 @@ def refit_beta(seq: DelaySequence, levels: LevelSequence | Sequence[int], alpha:
     return seq.n / total
 
 
-def beta_candidates(mu: float, alpha: float, k: int, epsilon: float) -> list[float]:
-    """Decreasing candidate list 1/mu, 1/(mu(1+eps)), ... down to 1/(alpha**k mu)."""
+def _descending(start: float, ratio: float, stop: float) -> list[float]:
+    """start, start/ratio, start/ratio**2, ... while the value is >= stop."""
+    out = []
+    value = start
+    while value >= stop:
+        out.append(value)
+        value /= ratio
+    return out
+
+
+def _top_scale(mu: float, alpha: float, k: int) -> float:
+    """alpha**k * mu, rejected when it overflows."""
     try:
         scale = alpha ** k * mu
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
         raise DomainError(f"alpha**k overflows for alpha={alpha!r}, k={k}; lower k or alpha")
-    limit = 1 / scale
-    ratio = 1 + epsilon
-    out = []
-    beta = 1 / mu
-    while beta >= limit:
-        out.append(beta)
-        beta /= ratio
-    return out
+    return scale
 
 
-def _better(score: float, param: float, best_score: float, best_param: float) -> bool:
-    """Candidate ordering: lower score, then the smaller scanned parameter."""
-    return score < best_score or (score == best_score and param < best_param)
+def beta_candidates(mu: float, alpha: float, k: int, epsilon: float) -> list[float]:
+    """Decreasing candidate list 1/mu, 1/(mu(1+eps)), ... down to 1/(alpha**k mu)."""
+    if alpha < 1:
+        raise DomainError(f"exp family needs alpha >= 1, got {alpha!r}")
+    return _descending(1 / mu, 1 + epsilon, 1 / _top_scale(mu, alpha, k))
 
 
 def exp_alpha(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: float,
               prune: bool = False) -> Solution:
     """Scan beta at fixed alpha >= 1; shifted score within (1 + eps) of the beta-optimum."""
-    _validate_exp_inputs(seq, gamma, k, epsilon)
-    if alpha < 1:
-        raise DomainError(f"exp family needs alpha >= 1, got {alpha!r}")
     if prune:
         return prune_scan(seq, alpha, gamma, k, epsilon)
+    check_scan_args(seq, EXP, gamma, k, epsilon)
     candidates = beta_candidates(seq.stats.mean, alpha, k, epsilon)
-    best: Solution | None = None
-    for beta in candidates:
-        sol = viterbi(seq, BurstParams(EXP, alpha, beta, gamma, k))
-        if best is None or _better(sol.score, sol.beta, best.score, best.beta):
-            best = sol
-    assert best is not None  # 1/mu always satisfies the scan bound
+    best = best_of((viterbi(seq, BurstParams(EXP, alpha, beta, gamma, k)) for beta in candidates),
+                   "beta")
     t = len(candidates)
-    return replace(best, viterbi_calls=t, diagnostics={"beta_candidates": t, "tested": t})
-
-
-@dataclass
-class PruneState:
-    """Bookkeeping for a pruned candidate scan."""
-
-    candidates: list[float]
-    order: list[int]
-    visited: list[bool] = field(init=False)
-    skipped: list[bool] = field(init=False)
-
-    def __post_init__(self) -> None:
-        t = len(self.candidates)
-        self.visited = [False] * t
-        self.skipped = [False] * t
+    return replace(best, diagnostics={"beta_candidates": t, "tested": t})
 
 
 def traversal_order(t: int) -> list[int]:
     """Index 0, then every power-of-two stride from the largest down to 1.
 
-    Each stride pass visits the multiples not yet seen, e.g. t = 7 gives
-    0, 4, 2, 6, 1, 3, 5.
+    Each stride pass visits the multiples not yet seen, so an index is first
+    visited in the pass of its lowest set bit: the pass of stride s visits
+    s, 3s, 5s, ...  E.g. t = 7 gives 0, 4, 2, 6, 1, 3, 5.
     """
     if t <= 0:
         return []
-    order = [0]
-    seen = [False] * t
-    seen[0] = True
-    stride = 1
-    while stride * 2 <= t:
-        stride *= 2
-    while stride >= 1:
-        for idx in range(stride, t, stride):
-            if not seen[idx]:
-                order.append(idx)
-                seen[idx] = True
-        stride //= 2
-    return order
+    bits = range(t.bit_length() - 1, -1, -1)
+    return [0] + [i for bit in bits for i in range(1 << bit, t, 2 << bit)]
 
 
 def _skip_range(candidates: list[float], lo: float, hi: float) -> range:
     """Indices whose candidate lies strictly inside (lo, hi); candidates decrease."""
-    t = len(candidates)
-    first, last = 0, t
-    while first < last:  # first index with value < hi
-        mid = (first + last) // 2
-        if candidates[mid] < hi:
-            last = mid
-        else:
-            first = mid + 1
-    start = first
-    first, last = start, t
-    while first < last:  # first index with value <= lo
-        mid = (first + last) // 2
-        if candidates[mid] <= lo:
-            last = mid
-        else:
-            first = mid + 1
-    return range(start, first)
+    start = bisect_right(candidates, -hi, key=operator.neg)
+    return range(start, bisect_left(candidates, -lo, lo=start, key=operator.neg))
 
 
 def prune_scan(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: float) -> Solution:
@@ -163,33 +113,29 @@ def prune_scan(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: 
     one of its two neighbours, so the inside candidate adjacent to the refit
     end of the interval is always kept live.
     """
-    _validate_exp_inputs(seq, gamma, k, epsilon)
-    if alpha < 1:
-        raise DomainError(f"exp family needs alpha >= 1, got {alpha!r}")
+    check_scan_args(seq, EXP, gamma, k, epsilon)
     candidates = beta_candidates(seq.stats.mean, alpha, k, epsilon)
-    state = PruneState(candidates=candidates, order=traversal_order(len(candidates)))
-    best: Solution | None = None
-    tested = 0
-    for idx in state.order:
-        if state.visited[idx] or state.skipped[idx]:
-            continue
-        state.visited[idx] = True
-        beta = candidates[idx]
-        sol = viterbi(seq, BurstParams(EXP, alpha, beta, gamma, k))
-        tested += 1
-        refit = refit_beta(seq, sol.levels, alpha)
-        lo, hi = (beta, refit) if beta <= refit else (refit, beta)
-        span = _skip_range(candidates, lo, hi)
-        keep = span.start if refit >= beta else span.stop - 1
-        for j in span:
-            if j != keep and not state.visited[j]:
-                state.skipped[j] = True
-        if best is None or _better(sol.score, sol.beta, best.score, best.beta):
-            best = sol
-    assert best is not None
-    return replace(best, viterbi_calls=tested,
-                   diagnostics={"beta_candidates": len(candidates), "tested": tested,
-                                "skipped_indices": [i for i, f in enumerate(state.skipped) if f]})
+    state = bytearray(len(candidates))  # 0 untouched, 1 tested, 2 skipped
+
+    def tested() -> Iterator[Solution]:
+        for idx in traversal_order(len(candidates)):
+            if state[idx]:
+                continue
+            state[idx] = 1
+            beta = candidates[idx]
+            sol = viterbi(seq, BurstParams(EXP, alpha, beta, gamma, k))
+            refit = refit_beta(seq, sol.levels, alpha)
+            span = _skip_range(candidates, min(beta, refit), max(beta, refit))
+            keep = span.start if refit >= beta else span.stop - 1
+            for j in span:
+                if j != keep and state[j] != 1:
+                    state[j] = 2
+            yield sol
+
+    best = best_of(tested(), "beta")
+    skipped = [i for i, f in enumerate(state) if f == 2]
+    return replace(best, diagnostics={"beta_candidates": len(candidates),
+                                      "tested": best.viterbi_calls, "skipped_indices": skipped})
 
 
 def approx_exp(seq: DelaySequence, gamma: float, k: int, epsilon: float,
@@ -197,25 +143,18 @@ def approx_exp(seq: DelaySequence, gamma: float, k: int, epsilon: float,
     """Scan alpha and beta jointly; shifted score within (1 + eps) of the optimum.
 
     alpha runs from max(s)/min(s) (always probed first) down to 1 with step
-    (1 + eps)**(1 / 2k); inner beta scans use eps / 2.  A constant sequence
-    makes the single probe alpha = 1, whose scan returns the flat solution.
+    (1 + eps)**(1 / 2k); inner beta scans use eps / 2.  With k = 0 every
+    alpha prices delays alike, so the only probe is alpha = 1 with the full
+    eps.  A constant sequence makes the single probe alpha = 1 as well, whose
+    scan returns the flat solution.
     """
-    _validate_exp_inputs(seq, gamma, k, epsilon)
+    check_scan_args(seq, EXP, gamma, k, epsilon)
     if k == 0:
-        return exp_alpha(seq, 1.0, gamma, k, epsilon, prune=prune)
-    stats = seq.stats
-    alpha = stats.maximum / stats.minimum
-    step = (1 + epsilon) ** (1 / (2 * k))
-    best: Solution | None = None
-    calls = 0
-    alpha_candidates = 0
-    while alpha >= 1.0:
-        sol = exp_alpha(seq, alpha, gamma, k, epsilon / 2, prune=prune)
-        calls += sol.viterbi_calls
-        alpha_candidates += 1
-        if best is None or _better(sol.score, sol.alpha, best.score, best.alpha):
-            best = sol
-        alpha /= step
-    assert best is not None  # max(s)/min(s) >= 1 always
-    return replace(best, viterbi_calls=calls,
-                   diagnostics={"alpha_candidates": alpha_candidates})
+        alphas, inner = [1.0], epsilon
+    else:
+        top = seq.stats.maximum / seq.stats.minimum
+        _top_scale(seq.stats.mean, top, k)  # fail on an overflowing top alpha before the grid
+        alphas, inner = _descending(top, (1 + epsilon) ** (1 / (2 * k)), 1.0), epsilon / 2
+    best = best_of((exp_alpha(seq, alpha, gamma, k, inner, prune=prune) for alpha in alphas),
+                   "alpha")
+    return replace(best, diagnostics={"alpha_candidates": len(alphas)})

@@ -18,8 +18,8 @@ beta with (1 + eps) log beta - eps g(beta) <= log of the previous one.
 Dropping g gives the plain step beta**(1/(1 + eps)), so the scan never tests
 more candidates than that one.
 
-approx_geo wraps a ScanSchedule over alpha around geo_alpha, probing
-alpha = 0 first.  The alpha grid spends its eps on the alpha term only:
+approx_geo probes alpha = 0, then runs geo_alpha along an ascending grid
+(_ascending_powers).  The alpha grid spends its eps on the alpha term only:
 moving alpha down to the grid point below alpha* scales that term by at most
 (1 + eps) and can only lower the -log(1 - beta alpha**l) terms, so the beta
 argument above, which never touches the alpha term, still applies.  Above the
@@ -31,60 +31,27 @@ the joint bound there to (1 + eps)**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import DomainError
-from .model import GEO, BurstParams, DelaySequence, LevelSequence, Solution
+from .model import (GEO, BurstParams, DelaySequence, LevelSequence, Solution, best_of,
+                    check_scan_args)
 from .viterbi import viterbi
 
 
-@dataclass(frozen=True)
-class ScanSchedule:
-    """Candidates base**c for c = 1, 1/ratio, 1/ratio**2, ... while <= stop.
+def _ascending_powers(base: float, stop: float, ratio: float) -> list[float]:
+    """base**c for c = 1, 1/ratio, 1/ratio**2, ... while the value is <= stop.
 
-    With base in (0, 1) the candidates increase strictly toward stop; the
-    first candidate is exactly base.
+    With base in (0, 1) and ratio > 1 the values increase strictly toward
+    stop; the first one is exactly base.
     """
-
-    base: float
-    stop: float
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.base < 1:
-            raise DomainError(f"schedule base must be in (0, 1), got {self.base!r}")
-        if self.ratio <= 1:
-            raise DomainError(f"schedule ratio must exceed 1, got {self.ratio!r}")
-
-    def __iter__(self) -> Iterator[float]:
-        c = 1.0
-        while True:
-            value = self.base ** c
-            if value > self.stop:
-                return
-            yield value
-            c /= self.ratio
-
-
-def _validate_geo_inputs(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> None:
-    if not seq.is_integer_valued:
-        raise DomainError("geometric family requires integer delays")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k!r}")
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-
-
-def _zero_mean_solution(seq: DelaySequence, alpha: float, k: int) -> Solution:
-    # All delays are 0: rate 0 at level 0 scores every position 0, which is
-    # the global optimum, so no scan is needed.
-    levels = LevelSequence((0,) * seq.n, k)
-    return Solution(levels=levels, alpha=alpha, beta=0.0, score=0.0, viterbi_calls=0,
-                    diagnostics={"beta_candidates": 0})
+    out = []
+    c = 1.0
+    while (value := base ** c) <= stop:
+        out.append(value)
+        c /= ratio
+    return out
 
 
 def _next_beta_coordinate(v: float, epsilon: float) -> float:
@@ -142,21 +109,18 @@ def geo_alpha(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: f
     2 log_{1+eps}(1 + log(n)/2), reaches the cap near n = 2e4 and exceeds it
     by n = 1e5 (at n = 1e6 by 5 calls at eps = 0.05 and 1 call at eps = 0.5).
     """
-    _validate_geo_inputs(seq, gamma, k, epsilon)
+    check_scan_args(seq, GEO, gamma, k, epsilon)
     if not 0 <= alpha < 1:
         raise DomainError(f"geo family needs 0 <= alpha < 1, got {alpha!r}")
     mu = seq.stats.mean
     if mu == 0:
-        return _zero_mean_solution(seq, alpha, k)
-    best: Solution | None = None
-    calls = 0
-    for beta in beta_schedule(mu, seq.n, epsilon):
-        sol = viterbi(seq, BurstParams(GEO, alpha, beta, gamma, k))
-        calls += 1
-        if best is None or sol.score < best.score or (sol.score == best.score and sol.beta < best.beta):
-            best = sol
-    assert best is not None  # the schedule always yields eta
-    return replace(best, viterbi_calls=calls, diagnostics={"beta_candidates": calls})
+        # All delays are 0: rate 0 at level 0 scores every position 0, which is
+        # the global optimum, so no scan is needed.
+        return Solution(levels=LevelSequence((0,) * seq.n, k), alpha=alpha, beta=0.0, score=0.0,
+                        viterbi_calls=0, diagnostics={"beta_candidates": 0})
+    best = best_of((viterbi(seq, BurstParams(GEO, alpha, beta, gamma, k))
+                    for beta in beta_schedule(mu, seq.n, epsilon)), "beta")
+    return replace(best, diagnostics={"beta_candidates": best.viterbi_calls})
 
 
 def approx_geo(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> Solution:
@@ -166,22 +130,12 @@ def approx_geo(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> Solu
     assignment prices every positive delay at level 0, a case no positive
     alpha candidate covers.
     """
-    _validate_geo_inputs(seq, gamma, k, epsilon)
-    best = geo_alpha(seq, 0.0, gamma, k, epsilon)
-    calls = best.viterbi_calls
-    beta_candidates = best.diagnostics["beta_candidates"]
-    alpha_candidates = 1
+    check_scan_args(seq, GEO, gamma, k, epsilon)
+    alphas = [0.0]
     mu = seq.stats.mean
     if mu > 0 and k > 0:
-        n = seq.n
-        sigma = mu / (mu + 1 / n)
-        schedule = ScanSchedule(base=1 / (1 + n * k), stop=sigma ** (epsilon / k), ratio=1 + epsilon)
-        for alpha in schedule:
-            sol = geo_alpha(seq, alpha, gamma, k, epsilon)
-            calls += sol.viterbi_calls
-            beta_candidates += sol.diagnostics["beta_candidates"]
-            alpha_candidates += 1
-            if sol.score < best.score or (sol.score == best.score and sol.alpha < best.alpha):
-                best = sol
-    return replace(best, viterbi_calls=calls,
-                   diagnostics={"alpha_candidates": alpha_candidates, "beta_candidates": beta_candidates})
+        sigma = mu / (mu + 1 / seq.n)
+        alphas += _ascending_powers(1 / (1 + seq.n * k), sigma ** (epsilon / k), 1 + epsilon)
+    best = best_of((geo_alpha(seq, alpha, gamma, k, epsilon) for alpha in alphas), "alpha")
+    return replace(best, diagnostics={"alpha_candidates": len(alphas),
+                                      "beta_candidates": best.viterbi_calls})

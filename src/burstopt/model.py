@@ -12,9 +12,9 @@ positive delay).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -203,6 +203,40 @@ class Solution:
     score: float
     viterbi_calls: int = 0
     diagnostics: dict = field(default_factory=dict)
+
+
+def best_of(solutions: Iterable[Solution], by: str) -> Solution:
+    """The lowest-scoring solution, ties going to the smaller `by` ("alpha" or "beta").
+
+    Streams its input, so a scan never holds more than the best solution so
+    far.  The result reports viterbi_calls summed over every solution seen.
+    """
+    best: Solution | None = None
+    calls = 0
+    for sol in solutions:
+        calls += sol.viterbi_calls
+        if best is None or (sol.score, getattr(sol, by)) < (best.score, getattr(best, by)):
+            best = sol
+    if best is None:
+        raise ValueError("best_of needs at least one solution")
+    return replace(best, viterbi_calls=calls)
+
+
+def check_scan_args(seq: DelaySequence, family: str, gamma: float, k: int, epsilon: float) -> None:
+    """Reject inputs no (1 + eps) scan of the family can take."""
+    if family == EXP and seq.stats.minimum <= 0:
+        raise DomainError(
+            "exponential-family optimization requires strictly positive delays; "
+            "shift the delays by a small amount to remove zeros"
+        )
+    if family == GEO and not seq.is_integer_valued:
+        raise DomainError("geometric family requires integer delays")
+    if not 0 < gamma < _INF:
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    if k < 0:
+        raise DomainError(f"k must be nonnegative, got {k!r}")
+    if not 0 < epsilon < _INF:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 def neg_loglik_exp(s: float, lam: float) -> float:

@@ -146,7 +146,7 @@ def test_scan_call_counts_within_stated_bounds():
             ejoint = b.approx_exp(seq2, params2.gamma, params2.k, eps)
             ratio = seq2.stats.maximum / seq2.stats.minimum
             obound = 2 * params2.k * math.log(ratio) / math.log(1 + eps) + 1
-            if ejoint.diagnostics.get("alpha_candidates", 1) > obound:
+            if ejoint.diagnostics["alpha_candidates"] > obound:
                 outer_over += 1
     ok = geo_over == 0 and exp_over == 0 and outer_over == 0
     _report("call-count-bounds", ok,

@@ -1,14 +1,21 @@
 """Exponential-family scans, refit pruning, and their guarantees."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import burstopt as b
+from burstopt.approx_exp import _skip_range
 from burstopt.errors import DomainError
 
 from conftest import random_exp_instance
+
+# the module itself: the package binds the name approx_exp to the function
+approx_exp_module = importlib.import_module("burstopt.approx_exp")
 
 
 def shifted(score: float, psi: float) -> float:
@@ -95,6 +102,15 @@ class TestExpAlpha:
         with pytest.raises(DomainError):
             b.exp_alpha(seq, 2.0, 0.0, 1, 0.1)
 
+    @pytest.mark.parametrize("scan", ["exp_alpha", "prune_scan", "approx_exp"])
+    @pytest.mark.parametrize("gamma, epsilon", [(1.0, math.nan), (1.0, math.inf),
+                                                (math.nan, 0.1), (math.inf, 0.1)])
+    def test_rejects_non_finite_epsilon_and_gamma(self, scan, gamma, epsilon):
+        seq = b.DelaySequence.from_values([1.0, 2.0, 0.5])
+        args = (gamma, 2, epsilon) if scan == "approx_exp" else (2.0, gamma, 2, epsilon)
+        with pytest.raises(DomainError, match="gamma" if epsilon == 0.1 else "epsilon"):
+            getattr(b, scan)(seq, *args)
+
     def test_call_count_bound(self):
         rng = np.random.default_rng(43)
         for eps in (0.05, 0.5):
@@ -127,7 +143,30 @@ class TestExpAlpha:
             assert lo * (1 - 1e-12) <= exact.beta <= hi * (1 + 1e-12)
 
 
+def stride_loop_order(t: int) -> list[int]:
+    # the stride-pass loop traversal_order replaced, kept as its reference
+    if t <= 0:
+        return []
+    order = [0]
+    seen = [False] * t
+    seen[0] = True
+    stride = 1
+    while stride * 2 <= t:
+        stride *= 2
+    while stride >= 1:
+        for idx in range(stride, t, stride):
+            if not seen[idx]:
+                order.append(idx)
+                seen[idx] = True
+        stride //= 2
+    return order
+
+
 class TestTraversalOrder:
+    def test_matches_stride_loop(self):
+        for t in range(2000):
+            assert b.traversal_order(t) == stride_loop_order(t), t
+
     def test_frozen_example(self):
         assert b.traversal_order(7) == [0, 4, 2, 6, 1, 3, 5]
 
@@ -148,6 +187,32 @@ class TestTraversalOrder:
                 while stride * 2 < t:
                     stride *= 2
                 assert order[1] == stride
+
+
+@st.composite
+def skip_cases(draw):
+    cands = sorted(draw(st.lists(st.floats(1e-6, 1e6), unique=True, max_size=40)), reverse=True)
+    bound = st.floats(1e-7, 2e6)
+    if cands:
+        bound = st.one_of(st.sampled_from(cands), bound)
+    lo = draw(bound)
+    hi = draw(st.one_of(st.just(lo), bound))
+    return cands, min(lo, hi), max(lo, hi)
+
+
+class TestSkipRange:
+    @settings(max_examples=500, deadline=None)
+    @given(skip_cases())
+    def test_is_the_open_interval(self, case):
+        cands, lo, hi = case
+        assert list(_skip_range(cands, lo, hi)) == [j for j, c in enumerate(cands) if lo < c < hi]
+
+    def test_endpoints_on_candidates_are_excluded(self):
+        cands = [8.0, 4.0, 2.0, 1.0, 0.5]
+        assert _skip_range(cands, 1.0, 8.0) == range(1, 3)
+        assert _skip_range(cands, 2.0, 2.0) == range(2, 2)
+        assert _skip_range(cands, 0.7, 3.0) == range(2, 4)
+        assert _skip_range(cands, 0.1, 9.0) == range(0, 5)
 
 
 class TestPruneScan:
@@ -198,6 +263,11 @@ class TestApproxExp:
         sol = b.approx_exp(seq, 1.0, 0, 0.1)
         assert sol.levels.levels == (0, 0, 0)
         assert sol.alpha == 1.0
+        # the same path as k > 0: one alpha, scanned with the full eps
+        plain = b.exp_alpha(seq, 1.0, 1.0, 0, 0.1)
+        assert (sol.score, sol.beta, sol.viterbi_calls) == (plain.score, plain.beta,
+                                                            plain.viterbi_calls)
+        assert sol.diagnostics == {"alpha_candidates": 1}
 
     def test_shifted_guarantee_against_joint_grid(self):
         rng = np.random.default_rng(48)
@@ -219,6 +289,38 @@ class TestApproxExp:
                 ratio = stats.maximum / stats.minimum
                 bound = 2 * params.k * math.log(ratio) / math.log(1 + eps) + 1
                 assert sol.diagnostics["alpha_candidates"] <= bound + 1e-9
+
+    @pytest.mark.parametrize("values, k, epsilon", [([0.3, 2.0, 9.0], 1, 0.05), ([1.0, 40.0], 3, 0.5),
+                                                     ([0.01, 5.0, 7.0], 2, 0.2), ([2.0, 2.5], 4, 3.0)])
+    def test_alpha_grid_steps(self, monkeypatch, values, k, epsilon):
+        # the grid max(s)/min(s), then down by (1 + eps)**(1/2k) while >= 1,
+        # each alpha scanned once with eps / 2
+        seq = b.DelaySequence.from_values(values)
+        seen = []
+
+        def record(seq, alpha, gamma, k, eps, prune=False):
+            seen.append((alpha, eps))
+            return b.Solution(b.LevelSequence((0,) * seq.n, k), alpha, 1.0, 0.0, viterbi_calls=1)
+
+        monkeypatch.setattr(approx_exp_module, "exp_alpha", record)
+        sol = b.approx_exp(seq, 1.0, k, epsilon)
+        alphas = [alpha for alpha, _ in seen]
+        step = (1 + epsilon) ** (1 / (2 * k))
+        assert alphas[0] == max(values) / min(values)
+        assert all(eps == epsilon / 2 for _, eps in seen)
+        for prev, cur in zip(alphas, alphas[1:]):
+            assert prev / cur == pytest.approx(step, rel=1e-12)
+        assert alphas[-1] >= 1 > alphas[-1] / step
+        assert sol.diagnostics["alpha_candidates"] == sol.viterbi_calls == len(alphas)
+
+    def test_overflowing_top_alpha_fails_before_its_grid_is_built(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a schedule was built")
+
+        monkeypatch.setattr(approx_exp_module, "_descending", no_grid)
+        seq = b.DelaySequence.from_values([1.0, 2.0, 0.5, 3.0, 0.2])
+        with pytest.raises(DomainError, match="overflow"):
+            b.approx_exp(seq, 1.0, 2000, 1e-9)
 
     def test_prune_flag_preserves_score(self):
         seq = b.DelaySequence.from_values([3.0, 0.4, 0.5, 2.8, 2.9, 0.3])

@@ -1,5 +1,6 @@
 """Geometric-family scans and their guarantees."""
 
+import importlib
 import itertools
 import math
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 import burstopt as b
-from burstopt.approx_geo import ScanSchedule, beta_schedule
+from burstopt.approx_geo import _ascending_powers, beta_schedule
 from burstopt.errors import DomainError
 
 from conftest import random_positive_geo_seq
+
+# the module itself: the package binds the name approx_geo to the function
+approx_geo_module = importlib.import_module("burstopt.approx_geo")
 
 
 def geo_scan_length(mu: float, n: int, epsilon: float) -> int:
@@ -28,9 +32,9 @@ def doubly_log_cap(n: int, epsilon: float) -> int:
 
 
 class TestScanSchedule:
+    # approx_geo's alpha grid
     def test_candidates_increase_toward_stop(self):
-        sched = ScanSchedule(base=0.5, stop=0.9, ratio=1.1)
-        values = list(sched)
+        values = _ascending_powers(base=0.5, stop=0.9, ratio=1.1)
         assert values[0] == 0.5
         assert all(x < y for x, y in zip(values, values[1:]))
         assert all(v <= 0.9 for v in values)
@@ -38,13 +42,7 @@ class TestScanSchedule:
         assert values[-1] ** (1 / 1.1) > 0.9 or values[-1] == 0.9
 
     def test_empty_when_base_beyond_stop(self):
-        assert list(ScanSchedule(base=0.5, stop=0.4, ratio=1.1)) == []
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ScanSchedule(base=1.0, stop=0.9, ratio=1.1)
-        with pytest.raises(DomainError):
-            ScanSchedule(base=0.5, stop=0.9, ratio=1.0)
+        assert _ascending_powers(base=0.5, stop=0.4, ratio=1.1) == []
 
 
 class TestGeoAlpha:
@@ -71,6 +69,16 @@ class TestGeoAlpha:
             b.geo_alpha(good, 1.0, 1.0, 1, 0.1)
         with pytest.raises(DomainError):
             b.geo_alpha(good, 0.5, 1.0, 1, 0.0)
+
+    @pytest.mark.parametrize("scan", ["geo_alpha", "approx_geo"])
+    @pytest.mark.parametrize("gamma, epsilon", [(1.0, math.nan), (1.0, math.inf),
+                                                (math.nan, 0.1), (math.inf, 0.1)])
+    def test_rejects_non_finite_epsilon_and_gamma(self, scan, gamma, epsilon):
+        # a nan epsilon used to make the beta schedule grow without end
+        seq = b.DelaySequence.from_values([1, 2, 0, 4])
+        args = (gamma, 2, epsilon) if scan == "approx_geo" else (0.5, gamma, 2, epsilon)
+        with pytest.raises(DomainError, match="gamma" if epsilon == 0.1 else "epsilon"):
+            getattr(b, scan)(seq, *args)
 
     def test_guarantee_against_beta_grid(self):
         rng = np.random.default_rng(31)
@@ -175,6 +183,30 @@ class TestApproxGeo:
                 bound = (math.log(k) + math.log(1 + n * mu) - math.log(epsilon)
                          + math.log(math.log(1 + n * k))) / math.log(1 + epsilon) + 2
                 assert sol.diagnostics["alpha_candidates"] <= bound
+
+    @pytest.mark.parametrize("values, k, epsilon", [([1, 0, 3, 2], 1, 0.05), ([5, 9], 3, 0.5),
+                                                     ([0, 0, 1] * 20, 2, 0.2), ([4] * 7, 4, 3.0)])
+    def test_alpha_grid_steps(self, monkeypatch, values, k, epsilon):
+        # alpha = 0, then 1/(1 + nk) ** c for c = 1, 1/(1 + eps), ... while
+        # <= sigma**(eps/k), each alpha scanned once with the full eps
+        seq = b.DelaySequence.from_values(values)
+        seen = []
+
+        def record(seq, alpha, gamma, k, eps):
+            seen.append((alpha, eps))
+            return b.Solution(b.LevelSequence((0,) * seq.n, k), alpha, 0.5, 0.0, viterbi_calls=1)
+
+        monkeypatch.setattr(approx_geo_module, "geo_alpha", record)
+        sol = b.approx_geo(seq, 1.0, k, epsilon)
+        alphas = [alpha for alpha, _ in seen]
+        n, mu = seq.n, seq.stats.mean
+        stop = (mu / (mu + 1 / n)) ** (epsilon / k)
+        assert alphas[:2] == [0.0, 1 / (1 + n * k)]
+        assert all(eps == epsilon for _, eps in seen)
+        for prev, cur in zip(alphas[1:], alphas[2:]):
+            assert math.log(cur) / math.log(prev) == pytest.approx(1 / (1 + epsilon), rel=1e-12)
+        assert alphas[-1] <= stop < alphas[-1] ** (1 / (1 + epsilon))
+        assert sol.diagnostics["alpha_candidates"] == sol.viterbi_calls == len(alphas)
 
     def test_beta_candidates_count_every_alpha(self):
         # one DP call per beta candidate of every alpha, not only the winner's

@@ -221,6 +221,20 @@ class TestRunCommand:
         assert cli.main(["run", "--input", str(data), "--output-dir", str(tmp_path / "o"),
                          "--mode", mode, "--k", "2000", "--beta", "0.5"]) == cli.EXIT_DOMAIN
 
+    @pytest.mark.parametrize("model, text", [("exp", "1 2 0.5 3\n"), ("geo", "1 2 0 4\n")])
+    @pytest.mark.parametrize("mode", ["opt-beta", "opt-both"])
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "nan"), ("--epsilon", "inf"),
+                                             ("--gamma", "nan"), ("--gamma", "inf")])
+    def test_non_finite_epsilon_or_gamma_exits_domain(self, tmp_path, model, text, mode,
+                                                      flag, value):
+        # geo opt-beta with a nan epsilon used to run without end
+        data = tmp_path / "d.txt"
+        write(data, text)
+        outdir = tmp_path / "o"
+        assert cli.main(["run", "--input", str(data), "--output-dir", str(outdir),
+                         "--model", model, "--mode", mode, flag, value]) == cli.EXIT_DOMAIN
+        assert not outdir.exists()
+
     def test_geo_defaults_alpha_below_one(self, tmp_path):
         data = tmp_path / "d.txt"
         write(data, "1 2 0 4\n")
@@ -270,6 +284,15 @@ class TestExperimentCommand:
         outdir = tmp_path / "out"
         assert cli.main(["experiment", protocol, "--output-dir", str(outdir),
                          "--trials", trials]) == cli.EXIT_DOMAIN
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("protocol", ["burst-length", "sequence-length"])
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "nan"), ("--epsilon", "inf"),
+                                             ("--gamma", "nan"), ("--gamma", "inf")])
+    def test_non_finite_epsilon_or_gamma_exits_domain(self, tmp_path, protocol, flag, value):
+        outdir = tmp_path / "out"
+        assert cli.main(["experiment", protocol, "--output-dir", str(outdir), "--trials", "1",
+                         "--n", "40", "--lengths", "30", flag, value]) == cli.EXIT_DOMAIN
         assert not outdir.exists()
 
     def test_bad_lengths_list(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 import burstopt as b
 from burstopt.errors import DomainError
+from burstopt.model import best_of
 
 
 class TestNegLoglikExp:
@@ -189,6 +190,29 @@ class TestBurstParams:
             b.BurstParams(b.EXP, 2.0, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
             b.BurstParams(b.EXP, 2.0, 1.0, 1.0, -1)
+
+
+class TestBestOf:
+    @staticmethod
+    def sol(score, alpha, beta, calls):
+        return b.Solution(b.LevelSequence((0,), 1), alpha, beta, score, viterbi_calls=calls)
+
+    def test_equal_scores_go_to_the_smaller_parameter_in_either_order(self):
+        low, high = self.sol(1.5, 3.0, 0.2, 2), self.sol(1.5, 2.0, 0.4, 5)
+        for by, winner in (("beta", low), ("alpha", high)):
+            for sols in ([low, high], [high, low]):
+                best = best_of(iter(sols), by)
+                assert (best.alpha, best.beta, best.score) == (winner.alpha, winner.beta, 1.5)
+                assert best.viterbi_calls == 7
+
+    def test_lower_score_wins_over_smaller_parameter(self):
+        sols = [self.sol(2.0, 1.0, 0.1, 1), self.sol(1.0, 4.0, 0.9, 1), self.sol(3.0, 1.0, 0.05, 1)]
+        best = best_of(sols, "beta")
+        assert (best.score, best.beta, best.viterbi_calls) == (1.0, 0.9, 3)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            best_of([], "beta")
 
 
 class TestScoreTotal:
