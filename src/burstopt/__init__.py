@@ -12,24 +12,22 @@ from .approx_exp import (approx_exp, beta_candidates, exp_alpha, prune_scan, ref
                          traversal_order)
 from .approx_geo import approx_geo, geo_alpha
 from .errors import CapacityError, DomainError, InfeasibleError
-from .exact import BndBurstTable, reconstruct, solve_bndburst, solve_exp_alpha_exact
+from .exact import reconstruct, solve_bndburst, solve_exp_alpha_exact
 from .experiments import (TrialResult, mean_hamming, run_burst_length_experiment,
                           run_sequence_length_experiment)
-from .model import (EXP, GEO, BurstParams, DelaySequence, LevelSequence,
-                    SequenceStats, Solution, neg_loglik_exp, neg_loglik_geo,
-                    penalty, score_total, sequence_stats)
-from .oracles import brute_force_viterbi, grid_opt, grid_search, scan_scores
+from .model import (EXP, GEO, BurstParams, DelaySequence, LevelSequence, Solution,
+                    neg_loglik_exp, neg_loglik_geo, penalty, score_total, sequence_stats)
+from .oracles import brute_force_viterbi, grid_opt, scan_scores
 from .synth import PlantSpec, generate, hamming, overlap_fraction
-from .viterbi import DpTable, backtrace, fill_table, viterbi
+from .viterbi import backtrace, fill_table, viterbi
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BndBurstTable", "BurstParams", "CapacityError", "DelaySequence", "DomainError",
-    "DpTable", "EXP", "GEO", "InfeasibleError", "LevelSequence", "PlantSpec",
-    "SequenceStats", "Solution", "TrialResult",
+    "BurstParams", "CapacityError", "DelaySequence", "DomainError", "EXP", "GEO",
+    "InfeasibleError", "LevelSequence", "PlantSpec", "Solution", "TrialResult",
     "approx_exp", "approx_geo", "backtrace", "beta_candidates", "brute_force_viterbi",
-    "exp_alpha", "fill_table", "generate", "geo_alpha", "grid_opt", "grid_search",
+    "exp_alpha", "fill_table", "generate", "geo_alpha", "grid_opt",
     "hamming", "mean_hamming", "neg_loglik_exp", "neg_loglik_geo", "overlap_fraction",
     "penalty", "prune_scan", "reconstruct", "refit_beta", "run_burst_length_experiment",
     "run_sequence_length_experiment", "scan_scores", "score_total", "sequence_stats",

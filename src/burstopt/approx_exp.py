@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .model import (EXP, BurstParams, DelaySequence, LevelSequence, Solution, best_of,
-                    check_scan_args)
+                    check_family, check_scan_args)
 from .viterbi import viterbi
 
 
@@ -66,8 +66,7 @@ def _top_scale(mu: float, alpha: float, k: int) -> float:
 
 def beta_candidates(mu: float, alpha: float, k: int, epsilon: float) -> list[float]:
     """Decreasing candidate list 1/mu, 1/(mu(1+eps)), ... down to 1/(alpha**k mu)."""
-    if alpha < 1:
-        raise DomainError(f"exp family needs alpha >= 1, got {alpha!r}")
+    check_family(EXP, alpha)
     return _descending(1 / mu, 1 + epsilon, 1 / _top_scale(mu, alpha, k))
 
 
@@ -76,7 +75,7 @@ def exp_alpha(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: f
     """Scan beta at fixed alpha >= 1; shifted score within (1 + eps) of the beta-optimum."""
     if prune:
         return prune_scan(seq, alpha, gamma, k, epsilon)
-    check_scan_args(seq, EXP, gamma, k, epsilon)
+    check_scan_args(seq, EXP, alpha, gamma, k, epsilon)
     candidates = beta_candidates(seq.stats.mean, alpha, k, epsilon)
     best = best_of((viterbi(seq, BurstParams(EXP, alpha, beta, gamma, k)) for beta in candidates),
                    "beta")
@@ -113,7 +112,7 @@ def prune_scan(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: 
     one of its two neighbours, so the inside candidate adjacent to the refit
     end of the interval is always kept live.
     """
-    check_scan_args(seq, EXP, gamma, k, epsilon)
+    check_scan_args(seq, EXP, alpha, gamma, k, epsilon)
     candidates = beta_candidates(seq.stats.mean, alpha, k, epsilon)
     state = bytearray(len(candidates))  # 0 untouched, 1 tested, 2 skipped
 
@@ -148,7 +147,7 @@ def approx_exp(seq: DelaySequence, gamma: float, k: int, epsilon: float,
     eps.  A constant sequence makes the single probe alpha = 1 as well, whose
     scan returns the flat solution.
     """
-    check_scan_args(seq, EXP, gamma, k, epsilon)
+    check_scan_args(seq, EXP, 1.0, gamma, k, epsilon)
     if k == 0:
         alphas, inner = [1.0], epsilon
     else:

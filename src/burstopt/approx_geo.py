@@ -34,7 +34,6 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 
-from .errors import DomainError
 from .model import (GEO, BurstParams, DelaySequence, LevelSequence, Solution, best_of,
                     check_scan_args)
 from .viterbi import viterbi
@@ -109,9 +108,7 @@ def geo_alpha(seq: DelaySequence, alpha: float, gamma: float, k: int, epsilon: f
     2 log_{1+eps}(1 + log(n)/2), reaches the cap near n = 2e4 and exceeds it
     by n = 1e5 (at n = 1e6 by 5 calls at eps = 0.05 and 1 call at eps = 0.5).
     """
-    check_scan_args(seq, GEO, gamma, k, epsilon)
-    if not 0 <= alpha < 1:
-        raise DomainError(f"geo family needs 0 <= alpha < 1, got {alpha!r}")
+    check_scan_args(seq, GEO, alpha, gamma, k, epsilon)
     mu = seq.stats.mean
     if mu == 0:
         # All delays are 0: rate 0 at level 0 scores every position 0, which is
@@ -130,7 +127,7 @@ def approx_geo(seq: DelaySequence, gamma: float, k: int, epsilon: float) -> Solu
     assignment prices every positive delay at level 0, a case no positive
     alpha candidate covers.
     """
-    check_scan_args(seq, GEO, gamma, k, epsilon)
+    check_scan_args(seq, GEO, 0.0, gamma, k, epsilon)
     alphas = [0.0]
     mu = seq.stats.mean
     if mu > 0 and k > 0:

@@ -8,8 +8,14 @@ segments.tsv (start, end, level for each constant-level run) and
 summary.json (parameters, score, call counts, runtime).  Numbers are
 serialized with 12 significant digits.
 
-Exit codes: 0 success, 2 bad input or parameter domain, 3 infeasible
-model, 4 over a capacity limit, 1 unexpected failure.
+The model checks its own rules (DelaySequence the delays, check_family the
+--alpha range, BurstParams the rest); only the command line's rules live
+here: mode fixed needs --beta, mode exact is exp-only, exp input may hold no
+zero delay, and geo input is rounded to whole numbers within 1e-9.
+
+Exit codes: 0 success, 2 bad input or parameter domain (a non-finite value
+or an --epsilon with 1 + epsilon == 1 among them), 3 infeasible model,
+4 over a capacity limit, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .experiments import (DEFAULT_BURST_LENGTHS, DEFAULT_SEQUENCE_LENGTHS,
                           run_burst_length_experiment,
                           run_sequence_length_experiment, write_summary_tsv,
                           write_trials_tsv)
-from .model import EXP, GEO, BurstParams, DelaySequence, LevelSequence, Solution, score_total
+from .model import EXP, GEO, BurstParams, DelaySequence, LevelSequence, Solution, check_family
 from .viterbi import viterbi
 
 EXIT_OK = 0
@@ -43,40 +49,6 @@ EXIT_CAPACITY = 4
 _GRANULARITY_DIVISORS = {"seconds": 1.0, "minutes": 60.0, "days": 86400.0}
 
 MODES = ("fixed", "opt-beta", "opt-both", "exact", "mean")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one run invocation."""
-
-    input_path: Path
-    output_dir: Path
-    model: str
-    mode: str
-    alpha: float
-    beta: float | None
-    gamma: float
-    k: int
-    epsilon: float
-    timestamps: bool
-    granularity: str
-    shift: float | None
-    prune: bool
-    max_exact_n: int
-
-    def __post_init__(self) -> None:
-        if self.model not in (EXP, GEO):
-            raise DomainError(f"unknown model: {self.model!r}")
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode: {self.mode!r}")
-        if self.mode == "fixed" and self.beta is None:
-            raise DomainError("mode fixed requires --beta")
-        if self.mode == "exact" and self.model != EXP:
-            raise DomainError("mode exact supports only the exp model")
-        if self.model == EXP and self.alpha < 1:
-            raise DomainError(f"exp model needs alpha >= 1, got {self.alpha}")
-        if self.model == GEO and not 0 <= self.alpha < 1:
-            raise DomainError(f"geo model needs 0 <= alpha < 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -124,9 +96,11 @@ def ingest(path: Path, model: str, timestamps: bool = False, granularity: str = 
     Timestamps must be non-decreasing; consecutive differences are divided by
     the granularity (seconds, minutes or days).  --shift-delays adds a
     constant to every delay, the standard remedy when zero delays meet the
-    exponential model.  The geometric model requires whole-number delays.
+    exponential model.  DelaySequence rejects a non-finite or negative delay
+    before the geometric model rounds its delays to whole numbers.
     """
     values = _parse_numbers(path)
+    delays = values
     if timestamps:
         if len(values) < 2:
             raise DomainError("need at least two timestamps to form one delay")
@@ -137,16 +111,10 @@ def ingest(path: Path, model: str, timestamps: bool = False, granularity: str = 
                 raise DomainError(f"timestamps decrease at position {i}: "
                                   f"{values[i]} < {values[i - 1]}")
             delays.append((values[i] - values[i - 1]) / divisor)
-    else:
-        for v in values:
-            if v < 0:
-                raise DomainError(f"negative delay: {v}")
-        delays = values
     if shift is not None:
         delays = [d + shift for d in delays]
-        if any(d < 0 for d in delays):
-            raise DomainError("shift made some delays negative")
-    if model == EXP and any(d == 0 for d in delays):
+    seq = DelaySequence.from_values(delays)
+    if model == EXP and 0 in seq.values:
         raise DomainError(
             "zero delays are degenerate under the exponential model: raising the "
             "level of a zero delay always pays off, so no finite optimum exists; "
@@ -154,38 +122,32 @@ def ingest(path: Path, model: str, timestamps: bool = False, granularity: str = 
         )
     if model == GEO:
         rounded = []
-        for d in delays:
+        for d in seq.values:
             r = round(d)
             if abs(d - r) > 1e-9:
                 raise DomainError(f"geo model requires integer delays, got {d!r}")
             rounded.append(float(r))
-        delays = rounded
-        return DelaySequence.from_values(delays, kind="integer")
-    return DelaySequence.from_values(delays)
+        seq = DelaySequence(tuple(rounded), "integer")
+    return seq
 
 
-def _solve(config: RunConfig, seq: DelaySequence) -> Solution:
-    model, mode = config.model, config.mode
+def _solve(args: argparse.Namespace, seq: DelaySequence) -> Solution:
+    model, mode = args.model, args.mode
     if mode == "fixed":
-        assert config.beta is not None
-        return viterbi(seq, BurstParams(model, config.alpha, config.beta, config.gamma, config.k))
+        return viterbi(seq, BurstParams(model, args.alpha, args.beta, args.gamma, args.k))
     if mode == "mean":
         mu = seq.stats.mean
         beta = 1 / mu if model == EXP else mu / (mu + 1)
-        return viterbi(seq, BurstParams(model, config.alpha, beta, config.gamma, config.k))
+        return viterbi(seq, BurstParams(model, args.alpha, beta, args.gamma, args.k))
     if mode == "opt-beta":
         if model == EXP:
-            return exp_alpha(seq, config.alpha, config.gamma, config.k, config.epsilon,
-                             prune=config.prune)
-        return geo_alpha(seq, config.alpha, config.gamma, config.k, config.epsilon)
+            return exp_alpha(seq, args.alpha, args.gamma, args.k, args.epsilon, prune=args.prune)
+        return geo_alpha(seq, args.alpha, args.gamma, args.k, args.epsilon)
     if mode == "opt-both":
         if model == EXP:
-            return approx_exp(seq, config.gamma, config.k, config.epsilon, prune=config.prune)
-        return approx_geo(seq, config.gamma, config.k, config.epsilon)
-    if mode == "exact":
-        return solve_exp_alpha_exact(seq, config.alpha, config.gamma, config.k,
-                                     max_n=config.max_exact_n)
-    raise DomainError(f"unknown mode: {mode!r}")
+            return approx_exp(seq, args.gamma, args.k, args.epsilon, prune=args.prune)
+        return approx_geo(seq, args.gamma, args.k, args.epsilon)
+    return solve_exp_alpha_exact(seq, args.alpha, args.gamma, args.k, max_n=args.max_exact_n)
 
 
 def _fmt(value: float) -> float:
@@ -193,8 +155,9 @@ def _fmt(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _write_outputs(config: RunConfig, seq: DelaySequence, sol: Solution, runtime_ms: float) -> None:
-    outdir = config.output_dir
+def _write_outputs(args: argparse.Namespace, seq: DelaySequence, sol: Solution,
+                   runtime_ms: float) -> None:
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "levels.tsv", "w") as fh:
         fh.write("index\tlevel\n")
@@ -205,14 +168,14 @@ def _write_outputs(config: RunConfig, seq: DelaySequence, sol: Solution, runtime
         for seg in levels_to_segments(sol.levels):
             fh.write(f"{seg.start}\t{seg.end}\t{seg.level}\n")
     summary = {
-        "mode": config.mode,
-        "model": config.model,
+        "mode": args.mode,
+        "model": args.model,
         "n": seq.n,
         "alpha": _fmt(sol.alpha),
         "beta": _fmt(sol.beta),
-        "gamma": _fmt(config.gamma),
-        "k": config.k,
-        "epsilon": _fmt(config.epsilon),
+        "gamma": _fmt(args.gamma),
+        "k": args.k,
+        "epsilon": _fmt(args.epsilon),
         "score": _fmt(sol.score) if math.isfinite(sol.score) else repr(sol.score),
         "viterbi_calls": sol.viterbi_calls,
         "runtime_ms": _fmt(runtime_ms),
@@ -223,30 +186,21 @@ def _write_outputs(config: RunConfig, seq: DelaySequence, sol: Solution, runtime
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        input_path=Path(args.input),
-        output_dir=Path(args.output_dir),
-        model=args.model,
-        mode=args.mode,
-        alpha=args.alpha if args.alpha is not None else (2.0 if args.model == EXP else 0.5),
-        beta=args.beta,
-        gamma=args.gamma,
-        k=args.k,
-        epsilon=args.epsilon,
-        timestamps=args.timestamps,
-        granularity=args.granularity,
-        shift=args.shift_delays,
-        prune=args.prune,
-        max_exact_n=args.max_exact_n,
-    )
-    seq = ingest(config.input_path, config.model, timestamps=config.timestamps,
-                 granularity=config.granularity, shift=config.shift)
+    if args.alpha is None:
+        args.alpha = 2.0 if args.model == EXP else 0.5
+    check_family(args.model, args.alpha)
+    if args.mode == "fixed" and args.beta is None:
+        raise DomainError("mode fixed requires --beta")
+    if args.mode == "exact" and args.model != EXP:
+        raise DomainError("mode exact supports only the exp model")
+    seq = ingest(Path(args.input), args.model, timestamps=args.timestamps,
+                 granularity=args.granularity, shift=args.shift_delays)
     start = time.perf_counter()
-    sol = _solve(config, seq)
+    sol = _solve(args, seq)
     runtime_ms = (time.perf_counter() - start) * 1000
-    _write_outputs(config, seq, sol, runtime_ms)
-    print(f"n={seq.n} mode={config.mode} alpha={sol.alpha:.6g} beta={sol.beta:.6g} "
-          f"score={sol.score:.6g} viterbi_calls={sol.viterbi_calls} -> {config.output_dir}")
+    _write_outputs(args, seq, sol, runtime_ms)
+    print(f"n={seq.n} mode={args.mode} alpha={sol.alpha:.6g} beta={sol.beta:.6g} "
+          f"score={sol.score:.6g} viterbi_calls={sol.viterbi_calls} -> {args.output_dir}")
     return EXIT_OK
 
 

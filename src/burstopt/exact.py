@@ -23,7 +23,8 @@ import numpy as np
 
 from .approx_exp import refit_beta
 from .errors import CapacityError, DomainError
-from .model import EXP, BurstParams, DelaySequence, LevelSequence, Solution, score_total
+from .model import (EXP, BurstParams, DelaySequence, LevelSequence, Solution, check_delays,
+                    score_total)
 
 _MAX_CELLS = 150_000_000  # ~1.2 GB of float64
 
@@ -61,11 +62,7 @@ def solve_bndburst(seq: DelaySequence, alpha: float, k: int, max_n: int | None =
     Requires strictly positive delays (a zero delay lets f shrink without
     bound as its level grows, so no stationary beta exists) and alpha > 1.
     """
-    if seq.stats.minimum <= 0:
-        raise DomainError(
-            "exact exponential solver requires strictly positive delays; "
-            "shift the delays by a small amount to remove zeros"
-        )
+    check_delays(seq, EXP, fit=True)
     if alpha <= 1:
         raise DomainError(f"exact solver needs alpha > 1, got {alpha!r}")
     if k < 0:
@@ -126,8 +123,7 @@ def solve_exp_alpha_exact(seq: DelaySequence, alpha: float, gamma: float, k: int
     the first minimum in (level, rises, level-sum) scan order wins, and all
     tying cells are recorded in diagnostics.
     """
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
+    BurstParams(EXP, 1.0, 0.5, gamma, k)  # probe gamma and k; alpha > 1 is solve_bndburst's rule
     table = solve_bndburst(seq, alpha, k, max_n=max_n)
     n = seq.n
     final = table.values[n]

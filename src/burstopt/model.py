@@ -160,8 +160,7 @@ class BurstParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.family not in (EXP, GEO):
-            raise DomainError(f"unknown family: {self.family!r}")
+        check_family(self.family, self.alpha)
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -171,8 +170,6 @@ class BurstParams:
         if self.gamma <= 0:
             raise DomainError(f"gamma must be positive, got {self.gamma!r}")
         if self.family == EXP:
-            if self.alpha < 1:
-                raise DomainError(f"exp family needs alpha >= 1, got {self.alpha!r}")
             if self.beta <= 0:
                 raise DomainError(f"exp family needs beta > 0, got {self.beta!r}")
             try:
@@ -182,11 +179,8 @@ class BurstParams:
             if not math.isfinite(top):
                 raise DomainError(f"exp family needs a finite top rate beta * alpha**k, got "
                                   f"beta={self.beta!r}, alpha={self.alpha!r}, k={self.k}")
-        else:
-            if not 0 <= self.alpha < 1:
-                raise DomainError(f"geo family needs 0 <= alpha < 1, got {self.alpha!r}")
-            if not 0 <= self.beta < 1:
-                raise DomainError(f"geo family needs 0 <= beta < 1, got {self.beta!r}")
+        elif not 0 <= self.beta < 1:
+            raise DomainError(f"geo family needs 0 <= beta < 1, got {self.beta!r}")
 
     def rate(self, level: int) -> float:
         """Rate at a burst level: beta * alpha**level (alpha**0 is 1 even for alpha = 0)."""
@@ -222,21 +216,47 @@ def best_of(solutions: Iterable[Solution], by: str) -> Solution:
     return replace(best, viterbi_calls=calls)
 
 
-def check_scan_args(seq: DelaySequence, family: str, gamma: float, k: int, epsilon: float) -> None:
-    """Reject inputs no (1 + eps) scan of the family can take."""
-    if family == EXP and seq.stats.minimum <= 0:
-        raise DomainError(
-            "exponential-family optimization requires strictly positive delays; "
-            "shift the delays by a small amount to remove zeros"
-        )
+def check_family(family: str, alpha: float | None = None) -> None:
+    """Reject an unknown family and, when alpha is given, an alpha outside its range.
+
+    The exponential family needs alpha >= 1, the geometric one 0 <= alpha < 1.
+    """
+    if family not in (EXP, GEO):
+        raise DomainError(f"unknown family: {family!r}")
+    if alpha is not None and family == EXP and alpha < 1:
+        raise DomainError(f"exp family needs alpha >= 1, got {alpha!r}")
+    if alpha is not None and family == GEO and not 0 <= alpha < 1:
+        raise DomainError(f"geo family needs 0 <= alpha < 1, got {alpha!r}")
+
+
+def check_delays(seq: DelaySequence, family: str, fit: bool = False) -> None:
+    """Reject delays the family cannot score: the geometric one needs whole numbers.
+
+    With fit, also reject delays no rate of the family can be fitted to: a
+    zero delay drives the best exponential rate of its level to infinity.
+    """
+    check_family(family)
     if family == GEO and not seq.is_integer_valued:
         raise DomainError("geometric family requires integer delays")
-    if not 0 < gamma < _INF:
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k!r}")
-    if not 0 < epsilon < _INF:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if fit and family == EXP and seq.stats.minimum <= 0:
+        raise DomainError(
+            "fitting exponential rates requires strictly positive delays; "
+            "shift the delays by a small amount to remove zeros"
+        )
+
+
+def check_scan_args(seq: DelaySequence, family: str, alpha: float, gamma: float, k: int,
+                    epsilon: float) -> None:
+    """Reject inputs no (1 + eps) scan of the family can take, before any DP work.
+
+    A probe BurstParams checks alpha, gamma and k; its base rate 0.5 is one
+    both families accept.  An epsilon with 1 + eps == 1 would make every
+    candidate schedule repeat one value without end.
+    """
+    check_delays(seq, family, fit=True)
+    BurstParams(family, alpha, 0.5, gamma, k)
+    if not 1 < 1 + epsilon < _INF:
+        raise DomainError(f"epsilon must be finite with 1 + epsilon > 1, got {epsilon!r}")
 
 
 def neg_loglik_exp(s: float, lam: float) -> float:
@@ -280,8 +300,7 @@ def score_total(levels: LevelSequence | Sequence[int], seq: DelaySequence, param
     levs = levels.levels if isinstance(levels, LevelSequence) else tuple(levels)
     if len(levs) != seq.n:
         raise DomainError(f"levels length {len(levs)} != sequence length {seq.n}")
-    if params.family == GEO and not seq.is_integer_valued:
-        raise DomainError("geometric family requires integer delays")
+    check_delays(seq, params.family)
     n = seq.n
     unit = params.gamma * math.log(n)
     nll = neg_loglik_exp if params.family == EXP else neg_loglik_geo

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibleError
-from .model import (EXP, GEO, BurstParams, DelaySequence, LevelSequence,
-                    Solution, neg_loglik_exp, neg_loglik_geo, score_total)
+from .model import (EXP, GEO, BurstParams, DelaySequence, LevelSequence, Solution,
+                    check_delays, neg_loglik_exp, neg_loglik_geo, score_total)
 
 _CHUNK = 1 << 16
 
@@ -36,8 +36,7 @@ def brute_force_viterbi(seq: DelaySequence, params: BurstParams, guard: int = 10
     vectorized pass locates the near-minimal band; the handful of sequences
     in it are re-scored with score_total for exact comparison.
     """
-    if params.family == GEO and not seq.is_integer_valued:
-        raise DomainError("geometric family requires integer delays")
+    check_delays(seq, params.family)
     n, k = seq.n, params.k
     total = (k + 1) ** n
     if total > guard:
@@ -90,8 +89,7 @@ def scan_scores(seq: DelaySequence, family: str, alphas: np.ndarray, betas: np.n
     betas = np.asarray(betas, dtype=float)
     if alphas.shape != betas.shape:
         raise DomainError("alphas and betas must pair up")
-    if family == GEO and not seq.is_integer_valued:
-        raise DomainError("geometric family requires integer delays")
+    check_delays(seq, family)
     n = seq.n
     unit = gamma * math.log(n)
     lam = betas[:, None] * alphas[:, None] ** np.arange(k + 1)[None, :]
@@ -100,13 +98,11 @@ def scan_scores(seq: DelaySequence, family: str, alphas: np.ndarray, betas: np.n
             if np.any(lam <= 0):
                 raise DomainError("exponential rates must be positive")
             const = -np.log(lam)
-        elif family == GEO:
+        else:
             if np.any(lam >= 1) or np.any(lam < 0):
                 raise DomainError("geometric rates must lie in [0, 1)")
             const = -np.log1p(-lam)
             log_lam = np.log(lam)  # -inf where lam == 0
-        else:
-            raise DomainError(f"unknown family: {family!r}")
 
     width = k + 1
     o = np.full(lam.shape, np.inf)
@@ -166,18 +162,15 @@ def grid_opt(seq: DelaySequence, family: str, gamma: float, k: int,
     given, only beta is gridded.  For the geometric family the joint grid
     also probes alpha = 0.
     """
+    check_delays(seq, family, fit=True)
     if family == GEO:
         if seq.stats.mean == 0:
             return 0.0
         (a_lo, a_hi), (b_lo, b_hi) = _geo_ranges(seq, k)
         extra_alpha = [0.0] if alpha is None else []
-    elif family == EXP:
-        if seq.stats.minimum <= 0:
-            raise DomainError("exponential grid requires strictly positive delays")
+    else:
         (a_lo, a_hi), (b_lo, b_hi) = _exp_ranges(seq, k, alpha)
         extra_alpha = []
-    else:
-        raise DomainError(f"unknown family: {family!r}")
     if alpha is not None:
         a_lo = a_hi = alpha
 

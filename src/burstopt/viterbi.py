@@ -28,8 +28,8 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleError
-from .model import EXP, BurstParams, DelaySequence, LevelSequence, Solution
+from .errors import InfeasibleError
+from .model import EXP, BurstParams, DelaySequence, LevelSequence, Solution, check_delays
 
 _INF = math.inf
 
@@ -65,8 +65,7 @@ def _emissions(seq: DelaySequence, params: BurstParams, width: int) -> list[floa
 
 def fill_table(seq: DelaySequence, params: BurstParams) -> DpTable:
     """Run the forward pass: final score row plus the flat back-pointers."""
-    if params.family != EXP and not seq.is_integer_valued:
-        raise DomainError("geometric family requires integer delays")
+    check_delays(seq, params.family)
     n = seq.n
     k = params.k
     width = k + 1

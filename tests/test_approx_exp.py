@@ -77,6 +77,23 @@ class TestBetaCandidates:
         with pytest.raises(DomainError, match="overflow"):
             b.beta_candidates(2.0, 1e300, 2, 0.1)
 
+    def test_steps_are_exact_epsilon_ratios(self):
+        # first 1/mu, neighbours a ratio of exactly 1 + eps apart, and the last
+        # step the final one that stays at or above 1/(alpha**k mu)
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            mu = float(rng.uniform(0.1, 10))
+            alpha = float(rng.uniform(1.0, 5.0))
+            k = int(rng.integers(0, 6))
+            eps = float(rng.uniform(0.01, 1.0))
+            cands = b.beta_candidates(mu, alpha, k, eps)
+            floor = 1 / (alpha ** k * mu)
+            assert cands[0] == 1 / mu
+            for x, y in zip(cands, cands[1:]):
+                assert x / y == pytest.approx(1 + eps, rel=1e-12)
+            assert cands[-1] >= floor
+            assert cands[-1] / (1 + eps) < floor
+
     def test_alpha_one_or_k_zero_single_candidate(self):
         assert b.beta_candidates(2.0, 1.0, 4, 0.1) == [0.5]
         assert b.beta_candidates(2.0, 3.0, 0, 0.1) == [0.5]
@@ -109,6 +126,15 @@ class TestExpAlpha:
         seq = b.DelaySequence.from_values([1.0, 2.0, 0.5])
         args = (gamma, 2, epsilon) if scan == "approx_exp" else (2.0, gamma, 2, epsilon)
         with pytest.raises(DomainError, match="gamma" if epsilon == 0.1 else "epsilon"):
+            getattr(b, scan)(seq, *args)
+
+    @pytest.mark.parametrize("scan", ["exp_alpha", "prune_scan", "approx_exp"])
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-16])
+    def test_rejects_epsilon_lost_next_to_one(self, scan, epsilon):
+        # 1 + eps == 1 used to make the candidate list repeat one value without end
+        seq = b.DelaySequence.from_values([1.0, 2.0, 0.5])
+        args = (1.0, 2, epsilon) if scan == "approx_exp" else (2.0, 1.0, 2, epsilon)
+        with pytest.raises(DomainError, match="epsilon"):
             getattr(b, scan)(seq, *args)
 
     def test_call_count_bound(self):

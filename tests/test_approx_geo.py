@@ -80,6 +80,15 @@ class TestGeoAlpha:
         with pytest.raises(DomainError, match="gamma" if epsilon == 0.1 else "epsilon"):
             getattr(b, scan)(seq, *args)
 
+    @pytest.mark.parametrize("scan", ["geo_alpha", "approx_geo"])
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-16])
+    def test_rejects_epsilon_lost_next_to_one(self, scan, epsilon):
+        # 1 + eps == 1 used to make the beta schedule repeat one value without end
+        seq = b.DelaySequence.from_values([1, 2, 0, 4])
+        args = (1.0, 2, epsilon) if scan == "approx_geo" else (0.5, 1.0, 2, epsilon)
+        with pytest.raises(DomainError, match="epsilon"):
+            getattr(b, scan)(seq, *args)
+
     def test_guarantee_against_beta_grid(self):
         rng = np.random.default_rng(31)
         for epsilon in (0.1, 0.5):

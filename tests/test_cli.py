@@ -75,6 +75,15 @@ class TestIngest:
         with pytest.raises(DomainError, match="integer"):
             cli.ingest(path, b.GEO)
 
+    @pytest.mark.parametrize("model", ["exp", "geo"])
+    @pytest.mark.parametrize("token", ["inf", "nan", "1e400"])
+    def test_non_finite_delay_rejected(self, tmp_path, model, token):
+        # the geo model used to round the value first and fail with an OverflowError
+        path = tmp_path / "d.txt"
+        write(path, f"1 {token} 2\n")
+        with pytest.raises(DomainError, match="finite"):
+            cli.ingest(path, model)
+
     def test_negative_delay_rejected(self, tmp_path):
         path = tmp_path / "d.txt"
         write(path, "1 -2\n")
@@ -233,6 +242,28 @@ class TestRunCommand:
         outdir = tmp_path / "o"
         assert cli.main(["run", "--input", str(data), "--output-dir", str(outdir),
                          "--model", model, "--mode", mode, flag, value]) == cli.EXIT_DOMAIN
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("model", ["exp", "geo"])
+    @pytest.mark.parametrize("token", ["inf", "nan", "1e400"])
+    def test_non_finite_delay_exits_domain(self, tmp_path, model, token):
+        data = tmp_path / "d.txt"
+        write(data, f"1 {token} 2\n")
+        outdir = tmp_path / "o"
+        assert cli.main(["run", "--input", str(data), "--output-dir", str(outdir),
+                         "--model", model, "--mode", "mean"]) == cli.EXIT_DOMAIN
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("model, text", [("exp", "1 2 0.5 3\n"), ("geo", "1 2 0 4\n")])
+    @pytest.mark.parametrize("mode", ["opt-beta", "opt-both"])
+    @pytest.mark.parametrize("epsilon", ["1e-17", "1e-16"])
+    def test_epsilon_lost_next_to_one_exits_domain(self, tmp_path, model, text, mode, epsilon):
+        # 1 + eps == 1: the exp scans used to end in a MemoryError, the geo ones never ended
+        data = tmp_path / "d.txt"
+        write(data, text)
+        outdir = tmp_path / "o"
+        assert cli.main(["run", "--input", str(data), "--output-dir", str(outdir),
+                         "--model", model, "--mode", mode, "--epsilon", epsilon]) == cli.EXIT_DOMAIN
         assert not outdir.exists()
 
     def test_geo_defaults_alpha_below_one(self, tmp_path):

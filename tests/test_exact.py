@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import burstopt as b
+from burstopt import exact as exact_module
 from burstopt.errors import CapacityError, DomainError
 
 from conftest import random_exp_instance
@@ -158,6 +159,16 @@ def test_rejects_zero_delays_and_bad_alpha():
     good = b.DelaySequence.from_values([1.0, 2.0])
     with pytest.raises(DomainError):
         b.solve_bndburst(good, 1.0, 1)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+def test_bad_gamma_rejected_before_the_table_is_built(monkeypatch, gamma):
+    def no_table(*args, **kwargs):
+        raise AssertionError("solve_bndburst ran")
+    monkeypatch.setattr(exact_module, "solve_bndburst", no_table)
+    seq = b.DelaySequence.from_values([1.0, 2.0, 0.5])
+    with pytest.raises(DomainError, match="gamma"):
+        b.solve_exp_alpha_exact(seq, 2.0, gamma, 1)
 
 
 def test_capacity_cap():
